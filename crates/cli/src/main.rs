@@ -1063,10 +1063,6 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
         }
     }
     for e in &report.degradation {
-        let (action, detail) = match e.kind {
-            phj_disk::DegradationKind::Repartition { fanout, .. } => ("repartition", fanout as u64),
-            phj_disk::DegradationKind::NljFallback { chunks } => ("nlj_fallback", chunks as u64),
-        };
         log::warn(
             "degradation",
             &format!("degraded: {e}"),
@@ -1075,8 +1071,8 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
                 ("depth", e.depth.to_string()),
                 ("bytes", e.bytes.to_string()),
                 ("budget", e.budget.to_string()),
-                ("action", action.to_string()),
-                ("detail", detail.to_string()),
+                ("action", e.kind.label().to_string()),
+                ("detail", e.kind.detail().to_string()),
             ],
         );
     }
@@ -1130,15 +1126,8 @@ fn cmd_disk(args: &Args) -> Result<(), String> {
                         depth: e.depth as u64,
                         bytes: e.bytes,
                         budget: e.budget,
-                        action: match e.kind {
-                            phj_disk::DegradationKind::Repartition { .. } => "repartition",
-                            phj_disk::DegradationKind::NljFallback { .. } => "nlj_fallback",
-                        }
-                        .to_string(),
-                        detail: match e.kind {
-                            phj_disk::DegradationKind::Repartition { fanout, .. } => fanout as u64,
-                            phj_disk::DegradationKind::NljFallback { chunks } => chunks as u64,
-                        },
+                        action: e.kind.label().to_string(),
+                        detail: e.kind.detail(),
                     })
                     .collect(),
             });

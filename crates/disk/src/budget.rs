@@ -1,9 +1,10 @@
 //! A revocable memory budget shared between a running join and its
 //! grantor.
 //!
-//! The static GRACE path treats [`DiskGraceConfig::mem_budget`] as a
-//! constant for the whole run. The dynamic hybrid path instead reads
-//! its budget from a [`LiveBudget`]: the grantor (the server's
+//! The disk join reads its budget from a [`LiveBudget`]; without one
+//! installed it runs against a fixed one holding
+//! [`DiskGraceConfig::mem_budget`] for the whole run. With a shared one
+//! (the dynamic hybrid mode), the grantor (the server's
 //! admission table, a test harness, a bench sweep) may lower the
 //! *limit* at any time from any thread, and the join observes the new
 //! limit at its next safe point — a page-granular pressure check —

@@ -3,13 +3,16 @@
 //! background I/O threads, and a graceful-degradation ladder for when the
 //! memory-budget estimate turns out wrong.
 //!
-//! The partition phase streams each input relation through a
-//! [`crate::SequentialReader`] (background read-ahead), routes tuples into
-//! per-partition output buffer pages, and spills full pages through a
-//! [`BackgroundWriter`] into a striped spill file, recording which spill
-//! pages belong to which partition. The join phase loads each partition
-//! pair back into memory and runs any in-memory join scheme; output
-//! pages stream to disk through another background writer.
+//! GRACE, hybrid and dynamic hybrid hash join are one algorithm here: the
+//! single driver in `disk::hybrid` partitions both inputs through a
+//! [`crate::SequentialReader`] (background read-ahead), keeps some build
+//! partitions memory-resident, spills the rest to striped spill files
+//! through a [`BackgroundWriter`], and joins the spilled partition pairs
+//! afterwards; output pages stream to disk through another background
+//! writer. GRACE mode is that driver with no resident partitions and the
+//! classic fan-out. This module holds the public configuration and report
+//! types, the `SpillFile` every partitioning pass writes, and the
+//! per-pair ladder.
 //!
 //! **Degradation ladder.** A build partition larger than the memory
 //! budget (skew, or an under-estimated partition count) does not abort
@@ -33,9 +36,7 @@
 //! output.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, SyncSender};
-use std::time::Instant;
 
 use phj::join::{dispatch_build, dispatch_probe, join_pair, JoinParams, JoinScheme};
 use phj::sink::{CountSink, JoinSink};
@@ -200,6 +201,25 @@ pub enum DegradationKind {
     },
 }
 
+impl DegradationKind {
+    /// Stable label (report rows, CLI logs).
+    pub fn label(&self) -> &'static str {
+        match self {
+            DegradationKind::Repartition { .. } => "repartition",
+            DegradationKind::NljFallback { .. } => "nlj_fallback",
+        }
+    }
+
+    /// The step's size: the sub-partition count of a repartition, the
+    /// build-chunk count of a nested-loop fallback.
+    pub fn detail(&self) -> u64 {
+        match *self {
+            DegradationKind::Repartition { fanout, .. } => fanout as u64,
+            DegradationKind::NljFallback { chunks } => chunks as u64,
+        }
+    }
+}
+
 impl std::fmt::Display for DegradationEvent {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match &self.kind {
@@ -279,9 +299,12 @@ pub struct DiskGraceReport {
     pub output: FileRelation,
     /// Number of top-level partitions.
     pub num_partitions: usize,
-    /// Wall-clock seconds for the partition phase.
+    /// Wall-clock seconds for both input scans: the build pass, any
+    /// re-absorption, the resident hash-table builds and the probe pass.
     pub partition_s: f64,
-    /// Wall-clock seconds for the join phase.
+    /// Wall-clock seconds for the spilled pairs and the output flush.
+    /// Taken from the same clock as `partition_s`, so the two add up to
+    /// the run.
     pub join_s: f64,
     /// Seconds the main thread blocked waiting for input pages (the
     /// Fig-9 "main thread stall").
@@ -314,48 +337,42 @@ pub struct DiskGraceReport {
     pub final_budget: u64,
 }
 
-/// One relation partitioned into a spill file: which spill pages belong
-/// to each partition.
-pub(crate) struct Spilled {
-    pub(crate) stripes: StripeSet,
+/// One relation's partitions in a spill file. Tuples route into one
+/// buffer page per partition, sealed pages stream out through a
+/// background writer, and the page map records which spill pages belong
+/// to which partition. [`SpillFile::flush`] stops the writer so every
+/// page written so far can be read back; the next write restarts it.
+pub(crate) struct SpillFile {
+    stripes: StripeSet,
+    writer: Option<BackgroundWriter>,
+    window: usize,
+    next_page: u64,
+    bufs: Vec<Page>,
     pub(crate) part_pages: Vec<Vec<u64>>,
+    /// Tuples each partition holds in the file, buffered ones included.
     pub(crate) part_tuples: Vec<u64>,
 }
 
-/// Routes tuples into per-partition buffer pages and spills sealed full
-/// pages through a background writer — shared by the top-level partition
-/// phase and recursive repartitioning.
-pub(crate) struct SpillBuilder {
-    pub(crate) stripes: StripeSet,
-    pub(crate) writer: BackgroundWriter,
-    pub(crate) bufs: Vec<Page>,
-    pub(crate) part_pages: Vec<Vec<u64>>,
-    pub(crate) part_tuples: Vec<u64>,
-    pub(crate) next_page: u64,
-}
-
-impl SpillBuilder {
-    pub(crate) fn new(cfg: &DiskGraceConfig, name: &str, p: usize) -> Result<SpillBuilder> {
+impl SpillFile {
+    pub(crate) fn new(cfg: &DiskGraceConfig, name: &str, p: usize) -> Result<SpillFile> {
         let stripes = StripeSet::create(&cfg.dir, name, cfg.num_stripes, cfg.stripe_pages)
             .map_err(|e| PhjError::io(cfg.dir.join(name), e))?
             .with_faults(cfg.fault.clone(), cfg.retry);
-        let writer = BackgroundWriter::start(stripes.clone(), cfg.write_window);
-        Ok(SpillBuilder {
+        Ok(SpillFile {
             stripes,
-            writer,
+            writer: None,
+            window: cfg.write_window,
+            next_page: 0,
             bufs: (0..p).map(|_| Page::new()).collect(),
             part_pages: vec![Vec::new(); p],
             part_tuples: vec![0; p],
-            next_page: 0,
         })
     }
 
     /// Append `tuple` to partition `part`, stashing `hash` in its slot.
     pub(crate) fn push(&mut self, part: usize, tuple: &[u8], hash: u32) -> Result<()> {
         if !self.bufs[part].fits(tuple.len()) {
-            self.part_pages[part].push(self.next_page);
-            self.writer.write(self.next_page, self.bufs[part].sealed_image())?;
-            self.next_page += 1;
+            self.write(part, self.bufs[part].sealed_image())?;
             self.bufs[part].reset();
             // Per-page spill marks are full-mode only: one per sealed page
             // would dominate the ring at phase granularity.
@@ -373,50 +390,64 @@ impl SpillBuilder {
         Ok(())
     }
 
-    /// Flush partial buffer pages and stop the writer.
-    pub(crate) fn finish(mut self) -> Result<Spilled> {
-        for (part, buf) in self.bufs.iter().enumerate() {
-            if buf.nslots() > 0 {
-                self.part_pages[part].push(self.next_page);
-                self.writer.write(self.next_page, buf.sealed_image())?;
-                self.next_page += 1;
+    /// Append a whole memory-resident page to partition `part`.
+    pub(crate) fn push_page(&mut self, part: usize, page: &Page) -> Result<()> {
+        self.write(part, page.sealed_image())?;
+        self.part_tuples[part] += page.nslots() as u64;
+        Ok(())
+    }
+
+    /// Make a partly filled `page` partition `part`'s buffer page, so
+    /// the partition's next tuples fill it before it is sealed.
+    pub(crate) fn adopt_buffer(&mut self, part: usize, page: Page) {
+        debug_assert_eq!(self.bufs[part].nslots(), 0, "buffer adopted over live tuples");
+        self.part_tuples[part] += page.nslots() as u64;
+        self.bufs[part] = page;
+    }
+
+    /// Read partition `part`'s pages back and drop them from the page
+    /// map. Requires the file flushed.
+    pub(crate) fn take_back(&mut self, part: usize) -> Result<Vec<Page>> {
+        let pages = self.part_pages[part]
+            .iter()
+            .map(|&pid| self.stripes.read_page_verified(pid))
+            .collect::<Result<Vec<_>>>()?;
+        self.part_pages[part].clear();
+        self.part_tuples[part] = 0;
+        Ok(pages)
+    }
+
+    fn write(&mut self, part: usize, image: Box<[u8; PAGE_SIZE]>) -> Result<()> {
+        let writer = self
+            .writer
+            .get_or_insert_with(|| BackgroundWriter::start(self.stripes.clone(), self.window));
+        writer.write(self.next_page, image)?;
+        self.part_pages[part].push(self.next_page);
+        self.next_page += 1;
+        Ok(())
+    }
+
+    /// Write out every partly filled buffer page and stop the writer:
+    /// every tuple pushed so far is then on disk and readable.
+    pub(crate) fn flush(&mut self) -> Result<()> {
+        for part in 0..self.bufs.len() {
+            if self.bufs[part].nslots() > 0 {
+                self.write(part, self.bufs[part].sealed_image())?;
+                self.bufs[part].reset();
             }
         }
-        self.writer.finish()?;
-        // One flush mark per spill file: a = total pages written, b =
-        // total tuples routed.
+        let Some(writer) = self.writer.take() else { return Ok(()) };
+        writer.finish()?;
+        // One flush mark per writer run: a = pages written so far, b =
+        // tuples the file holds.
         phj_flightrec::event(
             phj_flightrec::EventKind::Flush,
             self.part_pages.len().min(u16::MAX as usize) as u16,
             self.next_page,
             self.part_tuples.iter().sum(),
         );
-        Ok(Spilled {
-            stripes: self.stripes,
-            part_pages: self.part_pages,
-            part_tuples: self.part_tuples,
-        })
+        Ok(())
     }
-}
-
-/// Partition a file relation into `p` partitions within a fresh spill
-/// file. Returns the spill map and the reader's stall time.
-fn partition_to_spill(
-    cfg: &DiskGraceConfig,
-    input: &FileRelation,
-    name: &str,
-    p: usize,
-) -> Result<(Spilled, f64)> {
-    let mut sb = SpillBuilder::new(cfg, name, p)?;
-    let schema = input.schema().clone();
-    let mut scan = input.scan(cfg.read_ahead);
-    while let Some(page) = scan.next_page()? {
-        for (_, tuple, _) in page.iter() {
-            let h = hash::hash_key(key_bytes_of(&schema, tuple));
-            sb.push(hash::partition_of(h, p), tuple, h)?;
-        }
-    }
-    Ok((sb.finish()?, scan.stall_seconds()))
 }
 
 /// Re-partition one oversized partition of `parent` into `fanout`
@@ -426,28 +457,29 @@ fn partition_to_spill(
 fn repartition_spill(
     cfg: &DiskGraceConfig,
     schema: &Schema,
-    parent: &Spilled,
+    parent: &SpillFile,
     part: usize,
     name: &str,
     fanout: usize,
     seed: u32,
-) -> Result<Spilled> {
-    let mut sb = SpillBuilder::new(cfg, name, fanout)?;
+) -> Result<SpillFile> {
+    let mut sub = SpillFile::new(cfg, name, fanout)?;
     for &pid in &parent.part_pages[part] {
         let page = parent.stripes.read_page_verified(pid)?;
         for (_, tuple, stash) in page.iter() {
             let route = hash::hash_key_seeded(key_bytes_of(schema, tuple), seed);
-            sb.push(hash::partition_of(route, fanout), tuple, stash)?;
+            sub.push(hash::partition_of(route, fanout), tuple, stash)?;
         }
     }
-    sb.finish()
+    sub.flush()?;
+    Ok(sub)
 }
 
 /// Load one partition's pages from the spill file into memory, with a
 /// single background prefetch worker streaming the page list. Pages
 /// arrive checksum-verified.
-pub(crate) fn load_partition(
-    spill: &Spilled,
+fn load_partition(
+    spill: &SpillFile,
     part: usize,
     schema: &Schema,
     window: usize,
@@ -490,20 +522,63 @@ pub(crate) fn load_partition(
     result.map(|()| rel)
 }
 
-/// Streams join output pages to disk as they fill, keeping an
+/// Streams join output pages to `<dir>/out.N` as they fill, keeping an
 /// order-insensitive checksum of the emitted pairs. Errors inside the
-/// sink (the `JoinSink` trait is infallible) stick and surface after the
-/// partition pair completes.
+/// sink (the `JoinSink` trait is infallible) stick until
+/// [`DiskSink::check`] surfaces them.
 pub(crate) struct DiskSink {
-    pub(crate) build_schema: Schema,
-    pub(crate) probe_schema: Schema,
-    pub(crate) writer: BackgroundWriter,
-    pub(crate) page: Page,
-    pub(crate) next_page: u64,
-    pub(crate) buf: Vec<u8>,
-    pub(crate) tuples: u64,
-    pub(crate) count: CountSink,
-    pub(crate) error: Option<PhjError>,
+    stripes: StripeSet,
+    build_schema: Schema,
+    probe_schema: Schema,
+    writer: BackgroundWriter,
+    page: Page,
+    next_page: u64,
+    buf: Vec<u8>,
+    tuples: u64,
+    count: CountSink,
+    error: Option<PhjError>,
+}
+
+impl DiskSink {
+    pub(crate) fn create(
+        cfg: &DiskGraceConfig,
+        build_schema: &Schema,
+        probe_schema: &Schema,
+    ) -> Result<DiskSink> {
+        let stripes = StripeSet::create(&cfg.dir, "out", cfg.num_stripes, cfg.stripe_pages)
+            .map_err(|e| PhjError::io(cfg.dir.join("out"), e))?
+            .with_faults(cfg.fault.clone(), cfg.retry);
+        Ok(DiskSink {
+            writer: BackgroundWriter::start(stripes.clone(), cfg.write_window),
+            stripes,
+            build_schema: build_schema.clone(),
+            probe_schema: probe_schema.clone(),
+            page: Page::new(),
+            next_page: 0,
+            buf: Vec::new(),
+            tuples: 0,
+            count: CountSink::new(),
+            error: None,
+        })
+    }
+
+    /// Surface the first error an `emit` hit, if any.
+    pub(crate) fn check(&mut self) -> Result<()> {
+        self.error.take().map_or(Ok(()), Err)
+    }
+
+    /// Flush the output tail and stop the writer. Returns the output
+    /// relation, the match count and the pair checksum.
+    pub(crate) fn finish(mut self) -> Result<(FileRelation, u64, u64)> {
+        if self.page.nslots() > 0 {
+            self.writer.write(self.next_page, self.page.sealed_image())?;
+            self.next_page += 1;
+        }
+        self.writer.finish()?;
+        let schema = Schema::join_output(&self.build_schema, &self.probe_schema);
+        let output = FileRelation::from_parts(schema, self.stripes, self.next_page, self.tuples);
+        Ok((output, self.count.matches(), self.count.checksum()))
+    }
 }
 
 impl JoinSink for DiskSink {
@@ -538,6 +613,7 @@ impl JoinSink for DiskSink {
 }
 
 /// Mutable state threaded through the recursive join phase.
+#[derive(Default)]
 pub(crate) struct Degrade {
     pub(crate) events: Vec<DegradationEvent>,
     /// Fresh names for recursive spill sets.
@@ -547,10 +623,10 @@ pub(crate) struct Degrade {
 /// Join one (build, probe) partition pair, degrading as needed. `label`
 /// is the hierarchical partition name for diagnostics; `top_p` is the
 /// top-level partition count (kept as the bucket-coprimality modulus).
-/// `budget` is the budget *live at this pair* — the static
-/// `cfg.mem_budget` on the GRACE path, the current
-/// [`LiveBudget`](crate::budget::LiveBudget) limit on the dynamic one,
-/// so degradation events attribute against what the run actually had.
+/// `budget` is the budget *live at this pair* — the current
+/// [`LiveBudget`](crate::budget::LiveBudget) limit, which is the static
+/// `cfg.mem_budget` unless a grantor resized the run — so degradation
+/// events attribute against what the run actually had.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn join_partition_pair(
     cfg: &DiskGraceConfig,
@@ -559,8 +635,8 @@ pub(crate) fn join_partition_pair(
     native: &mut NativeModel,
     build_schema: &Schema,
     probe_schema: &Schema,
-    bspill: &Spilled,
-    pspill: &Spilled,
+    bspill: &SpillFile,
+    pspill: &SpillFile,
     part: usize,
     label: String,
     depth: u32,
@@ -680,7 +756,7 @@ pub(crate) fn join_partition_pair(
 
 /// Remove a recursive sub-spill's files once its partitions are joined
 /// (best-effort; the working directory is the caller's to delete anyway).
-pub(crate) fn cleanup_spill(spill: &Spilled) {
+fn cleanup_spill(spill: &SpillFile) {
     for path in spill.stripes.paths() {
         let _ = std::fs::remove_file(path);
     }
@@ -698,8 +774,8 @@ fn block_nlj(
     native: &mut NativeModel,
     build_schema: &Schema,
     probe_schema: &Schema,
-    bspill: &Spilled,
-    pspill: &Spilled,
+    bspill: &SpillFile,
+    pspill: &SpillFile,
     part: usize,
     top_p: usize,
     sink: &mut DiskSink,
@@ -744,106 +820,15 @@ pub fn grace_join_files(
 
 /// [`grace_join_files`] with an optional span recorder: the partition
 /// and join phases get top-level spans, and every degradation step
-/// (repartition, nested-loop fallback) gets its own nested span.
+/// (repartition, nested-loop fallback) gets its own nested span. Every
+/// [`DiskJoinMode`] runs the one driver in `disk::hybrid`.
 pub fn grace_join_files_rec(
     cfg: &DiskGraceConfig,
     build: &FileRelation,
     probe: &FileRelation,
-    mut rec: Option<&mut Recorder>,
+    rec: Option<&mut Recorder>,
 ) -> Result<DiskGraceReport> {
-    if cfg.mode != DiskJoinMode::Grace {
-        return crate::hybrid::hybrid_join_files_rec(cfg, build, probe, rec);
-    }
-    let p = plan::num_partitions(build.size_bytes() as usize, cfg.mem_budget).max(1);
-    let mut native = NativeModel;
-    // Journal the memory budget this run operates under (the ladder
-    // never renegotiates, it degrades instead). `a` carries the host's
-    // query id in full; `code` is the grant operation.
-    phj_flightrec::event(
-        phj_flightrec::EventKind::Grant,
-        phj_flightrec::grant_op::BUDGET,
-        cfg.grant_tag,
-        cfg.mem_budget as u64,
-    );
-
-    let t0 = Instant::now();
-    let span = obs::span_begin(&mut rec, &native, "partition");
-    obs::span_meta(&mut rec, "partitions", p);
-    let (build_spill, bstall) = partition_to_spill(cfg, build, "build_spill", p)?;
-    let (probe_spill, pstall) = partition_to_spill(cfg, probe, "probe_spill", p)?;
-    obs::span_end(&mut rec, &native, span);
-    let partition_s = t0.elapsed().as_secs_f64();
-
-    let out_schema = Schema::join_output(build.schema(), probe.schema());
-    let out_stripes = StripeSet::create(&cfg.dir, "out", cfg.num_stripes, cfg.stripe_pages)
-        .map_err(|e| PhjError::io(cfg.dir.join("out"), e))?
-        .with_faults(cfg.fault.clone(), cfg.retry);
-    let mut sink = DiskSink {
-        build_schema: build.schema().clone(),
-        probe_schema: probe.schema().clone(),
-        writer: BackgroundWriter::start(out_stripes.clone(), cfg.write_window),
-        page: Page::new(),
-        next_page: 0,
-        buf: Vec::new(),
-        tuples: 0,
-        count: CountSink::new(),
-        error: None,
-    };
-    let t1 = Instant::now();
-    let span = obs::span_begin(&mut rec, &native, "join");
-    let params = JoinParams { scheme: cfg.join_scheme, use_stored_hash: true };
-    let mut deg = Degrade { events: Vec::new(), spill_counter: 0 };
-    for part in 0..p {
-        join_partition_pair(
-            cfg,
-            cfg.mem_budget as u64,
-            &params,
-            &mut native,
-            build.schema(),
-            probe.schema(),
-            &build_spill,
-            &probe_spill,
-            part,
-            part.to_string(),
-            0,
-            p,
-            &mut sink,
-            &mut deg,
-            &mut rec,
-        )?;
-        if let Some(e) = sink.error.take() {
-            return Err(e);
-        }
-    }
-    obs::span_end(&mut rec, &native, span);
-    // Flush the output tail and stop the writer.
-    if sink.page.nslots() > 0 {
-        sink.writer.write(sink.next_page, sink.page.sealed_image())?;
-        sink.next_page += 1;
-    }
-    let (matches, tuples, out_pages, count, writer) =
-        (sink.matches(), sink.tuples, sink.next_page, sink.count, sink.writer);
-    writer.finish()?;
-    let join_s = t1.elapsed().as_secs_f64();
-
-    let stats = cfg.fault.stats();
-    Ok(DiskGraceReport {
-        output: FileRelation::from_parts(out_schema, out_stripes, out_pages, tuples),
-        num_partitions: p,
-        partition_s,
-        join_s,
-        input_stall_s: bstall + pstall,
-        matches,
-        checksum: count.checksum(),
-        degradation: deg.events,
-        read_retries: stats.read_retries.load(Ordering::Relaxed),
-        write_retries: stats.write_retries.load(Ordering::Relaxed),
-        faults_injected: stats.total_injected(),
-        slow_stall_us: stats.slow_stall_us.load(Ordering::Relaxed),
-        transitions: Vec::new(),
-        resident_partitions: 0,
-        final_budget: cfg.mem_budget as u64,
-    })
+    crate::hybrid::hybrid_join_files_rec(cfg, build, probe, rec)
 }
 
 #[cfg(test)]

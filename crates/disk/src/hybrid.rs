@@ -1,68 +1,78 @@
-//! Hybrid and dynamic hybrid hash join over file relations.
+//! The disk join driver: GRACE, hybrid and dynamic hybrid hash join
+//! over file relations, run as one algorithm.
 //!
-//! Classic GRACE ([`crate::grace`]) writes *every* partition to disk
-//! and reads it all back, even when the build side nearly fits in
-//! memory — the I/O bill is flat across the budget axis. The hybrid
-//! join instead keeps as many build partitions memory-resident as the
-//! budget allows and joins their probe tuples on the fly; only the
-//! overflow partitions round-trip through the spill file. With a
-//! generous budget it converges on a single in-memory join; with a
-//! starved one it converges on GRACE (with a finer fanout), and in
-//! between it degrades *linearly* instead of falling off a cliff.
+//! Classic GRACE writes *every* partition to disk and reads it all
+//! back, even when the build side nearly fits in memory — the I/O bill
+//! is flat across the budget axis. The hybrid join instead keeps as
+//! many build partitions memory-resident as the budget allows and joins
+//! their probe tuples on the fly; only the overflow partitions
+//! round-trip through the spill file. With a generous budget it
+//! converges on a single in-memory join; with a starved one it
+//! converges on GRACE (with a finer fanout), and in between it degrades
+//! *linearly* instead of falling off a cliff. GRACE is the special case
+//! with no resident partitions, so [`DiskJoinMode`] only sets three
+//! policy values, read once at the top of [`hybrid_join_files_rec`]:
+//!
+//! | mode      | fan-out                 | resident at start | re-absorb |
+//! |-----------|-------------------------|-------------------|-----------|
+//! | `Grace`   | [`plan::num_partitions`] | none             | no        |
+//! | `Hybrid`  | [`plan::hybrid_fanout`]  | all              | no        |
+//! | `Dynamic` | [`plan::hybrid_fanout`]  | all              | yes       |
 //!
 //! **Residency protocol.** The build pass appends tuples into
 //! per-partition page lists and checks, at page granularity, whether
 //! `resident_bytes + reserve` still fits the live budget. When it does
 //! not, the **largest** resident partition is evicted — its pages
-//! stream to the spill file through a [`BackgroundWriter`], a
+//! stream to the spill file through a background writer, a
 //! [`MemTransition`] records the partition's byte size and the live
 //! budget at the moment of the decision, and the partition's future
 //! tuples route straight to disk. The same check runs during the probe
 //! pass (evicting there first drains the partition's pending probe
 //! batch through its hash table, then serializes the build pages back
 //! out), so a mid-run budget shrink from a [`LiveBudget`] grantor is
-//! honored within one page's worth of work. [`DiskJoinMode::Dynamic`]
-//! additionally *re-absorbs* spilled partitions (smallest-first) at the
-//! build→probe phase boundary when the budget has headroom again —
-//! e.g. after a neighboring query finished and the grantor raised the
-//! limit.
+//! honored within one page's worth of work. A partition holding no
+//! bytes is never a victim. [`DiskJoinMode::Dynamic`] additionally
+//! *re-absorbs* spilled partitions (smallest-first) at the build→probe
+//! phase boundary when the budget has headroom again — e.g. after a
+//! neighboring query finished and the grantor raised the limit.
 //!
 //! The `reserve` slice ([`plan::hybrid_reserve`]) is held back from
 //! residency to cover the probe-side batch buffers, hash-table
 //! overhead, and the join-phase working space for spilled pairs.
 //!
-//! **Composition with the ladder.** Spilled pairs run through the
-//! exact same [`join_partition_pair`] the GRACE path uses — recursive
-//! reseeded repartition, block-NLJ fallback, typed overflow, fault
-//! plans and retries all compose unchanged underneath, with each
-//! pair's budget sampled from the live budget at pair start.
+//! **Spilled pairs.** Whatever is on disk after the probe pass runs
+//! through [`join_partition_pair`] — recursive reseeded repartition,
+//! block-NLJ fallback, typed overflow, fault plans and retries — with
+//! each pair's budget sampled from the live budget at pair start.
+//!
+//! **Timers.** `partition_s` covers both input scans (build pass,
+//! absorb, resident table builds, probe pass); `join_s` covers the
+//! spilled pairs and the output flush. Both come from one clock, so
+//! they add up to the run.
 //!
 //! [`LiveBudget`]: crate::budget::LiveBudget
+//! [`DiskJoinMode`]: crate::grace::DiskJoinMode
 //! [`DiskJoinMode::Dynamic`]: crate::grace::DiskJoinMode::Dynamic
 //! [`MemTransition`]: crate::grace::MemTransition
 
+use std::cmp::Reverse;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
 use phj::join::{dispatch_build, dispatch_probe, JoinParams};
-use phj::sink::{CountSink, JoinSink};
 use phj::table::HashTable;
 use phj::{hash, plan};
 use phj_memsim::NativeModel;
 use phj_obs::{self as obs, Recorder};
-use phj_storage::{
-    tuple::key_bytes_of, Page, Relation, RelationBuilder, Schema, PAGE_SIZE,
-};
+use phj_storage::{tuple::key_bytes_of, Page, Relation, Schema, PAGE_SIZE};
 
 use crate::budget::LiveBudget;
 use crate::error::{PhjError, Result};
 use crate::grace::{
     join_partition_pair, Degrade, DiskGraceConfig, DiskGraceReport, DiskJoinMode, DiskSink,
-    MemTransition, Spilled, TransitionKind,
+    MemTransition, SpillFile, TransitionKind,
 };
-use crate::stripe::StripeSet;
-use crate::writer::BackgroundWriter;
 use crate::FileRelation;
 
 /// Probe tuples for a resident partition accumulate in a small batch
@@ -70,89 +80,61 @@ use crate::FileRelation;
 /// loop amortizes dispatch overhead without holding unbounded memory.
 const PROBE_BATCH_BYTES: usize = PAGE_SIZE;
 
-/// A spill file whose background writer can be stopped (so pages can
-/// be read back) and lazily restarted (so a later victim eviction can
-/// keep appending). GRACE's one-shot `SpillBuilder` finishes its writer
-/// exactly once; the hybrid join crosses the write→read boundary twice
-/// (absorb at the phase boundary, pair joins at the end).
-struct SpillFile {
-    stripes: StripeSet,
-    writer: Option<BackgroundWriter>,
-    next_page: u64,
-    window: usize,
+/// One build partition.
+enum Part {
+    /// Memory-resident during the build pass: sealed-full pages plus
+    /// the open append page.
+    Filling { pages: Vec<Page>, open: Page },
+    /// Memory-resident during the probe pass: the build relation, its
+    /// hash table, and the pending probe batch.
+    Built { rel: Relation, table: Box<HashTable>, batch: Relation },
+    /// In the build spill file.
+    Spilled,
 }
 
-impl SpillFile {
-    fn new(cfg: &DiskGraceConfig, name: &str) -> Result<SpillFile> {
-        let stripes = StripeSet::create(&cfg.dir, name, cfg.num_stripes, cfg.stripe_pages)
-            .map_err(|e| PhjError::io(cfg.dir.join(name), e))?
-            .with_faults(cfg.fault.clone(), cfg.retry);
-        Ok(SpillFile { stripes, writer: None, next_page: 0, window: cfg.write_window })
-    }
-
-    /// Append one sealed page image; returns its page id.
-    fn write(&mut self, image: Box<[u8; PAGE_SIZE]>) -> Result<u64> {
-        let writer = self
-            .writer
-            .get_or_insert_with(|| BackgroundWriter::start(self.stripes.clone(), self.window));
-        let id = self.next_page;
-        writer.write(id, image)?;
-        self.next_page += 1;
-        Ok(id)
-    }
-
-    /// Stop the writer and wait for in-flight pages — required before
-    /// any page written so far may be read back.
-    fn sync(&mut self) -> Result<()> {
-        match self.writer.take() {
-            Some(w) => w.finish(),
-            None => Ok(()),
+impl Part {
+    /// Bytes the partition holds on the residency ledger (an open page
+    /// counts as full); `None` when it is spilled.
+    fn resident_bytes(&self) -> Option<u64> {
+        match self {
+            Part::Filling { pages, .. } => Some(((pages.len() + 1) * PAGE_SIZE) as u64),
+            Part::Built { rel, .. } => Some(rel.size_bytes() as u64),
+            Part::Spilled => None,
         }
     }
 }
 
-/// One build partition during the build pass.
-enum BPart {
-    /// Memory-resident: sealed-full pages plus the open append page.
-    Res { pages: Vec<Page>, open: Page },
-    /// On disk: tuples route through a one-page spill buffer.
-    Spilled { buf: Page },
+/// The pressure victim among partitions of the given resident sizes
+/// (`None` = spilled): the largest, lowest index first on ties. A
+/// partition holding no bytes is never chosen — evicting it frees
+/// nothing.
+fn choose_victim(sizes: impl Iterator<Item = Option<u64>>) -> Option<(usize, u64)> {
+    sizes
+        .enumerate()
+        .filter_map(|(i, bytes)| Some((i, bytes.filter(|&b| b > 0)?)))
+        .max_by_key(|&(i, bytes)| (bytes, Reverse(i)))
 }
 
-/// Build-pass state: partition residency, the shared build spill file,
-/// and the byte ledger the pressure checks run against.
-struct BuildPass<'a> {
+/// The join's state across both input scans.
+struct Driver<'a> {
     live: &'a LiveBudget,
     reserve: u64,
-    parts: Vec<BPart>,
-    file: SpillFile,
-    /// Spill-file pages per partition (empty while resident).
-    part_pages: Vec<Vec<u64>>,
-    /// Total build tuples routed to each partition (resident or not).
-    tuples: Vec<u64>,
+    parts: Vec<Part>,
     /// Bytes held by resident partitions, counting each open page as a
     /// full page. Hash tables and batch buffers ride on `reserve`.
     resident_bytes: u64,
+    bspill: SpillFile,
+    pspill: SpillFile,
     transitions: Vec<MemTransition>,
+    native: NativeModel,
+    params: JoinParams,
+    sink: DiskSink,
 }
 
-impl<'a> BuildPass<'a> {
-    fn new(cfg: &DiskGraceConfig, live: &'a LiveBudget, reserve: u64, p: usize) -> Result<Self> {
-        Ok(BuildPass {
-            live,
-            reserve,
-            parts: (0..p).map(|_| BPart::Res { pages: Vec::new(), open: Page::new() }).collect(),
-            file: SpillFile::new(cfg, "hyb_bspill")?,
-            part_pages: vec![Vec::new(); p],
-            tuples: vec![0; p],
-            resident_bytes: (p * PAGE_SIZE) as u64,
-            transitions: Vec::new(),
-        })
-    }
-
-    fn push(&mut self, part: usize, tuple: &[u8], h: u32) -> Result<()> {
+impl Driver<'_> {
+    fn push_build(&mut self, part: usize, tuple: &[u8], h: u32) -> Result<()> {
         match &mut self.parts[part] {
-            BPart::Res { pages, open } => {
+            Part::Filling { pages, open } => {
                 if !open.fits(tuple.len()) {
                     pages.push(std::mem::replace(open, Page::new()));
                     self.resident_bytes += PAGE_SIZE as u64;
@@ -160,28 +142,46 @@ impl<'a> BuildPass<'a> {
                 open.insert(tuple, h)
                     .ok_or(PhjError::TupleTooLarge { bytes: tuple.len() })?;
             }
-            BPart::Spilled { buf } => {
-                if !buf.fits(tuple.len()) {
-                    let id = self.file.write(buf.sealed_image())?;
-                    self.part_pages[part].push(id);
-                    buf.reset();
-                    phj_flightrec::event_full(
-                        phj_flightrec::EventKind::Spill,
-                        part.min(u16::MAX as usize) as u16,
-                        self.part_pages[part].len() as u64,
-                        self.tuples[part],
-                    );
-                }
-                buf.insert(tuple, h)
-                    .ok_or(PhjError::TupleTooLarge { bytes: tuple.len() })?;
-            }
+            Part::Spilled => self.bspill.push(part, tuple, h)?,
+            Part::Built { .. } => unreachable!("hash tables are built after the build pass"),
         }
-        self.tuples[part] += 1;
         self.enforce("build")
     }
 
-    /// Page-granular safe point: spill largest-first victims until
-    /// residency (plus the reserve) fits the live budget, then ack.
+    /// Route one probe tuple: batch-join it against a resident
+    /// partition, spill it for a disk pair, or drop it when the spilled
+    /// build partition is empty (an inner join can never match it).
+    fn push_probe(&mut self, part: usize, tuple: &[u8], h: u32) -> Result<()> {
+        match &mut self.parts[part] {
+            Part::Built { batch, .. } => {
+                batch.append(tuple, h);
+                if batch.tuple_bytes() >= PROBE_BATCH_BYTES {
+                    self.flush_batch(part)?;
+                }
+            }
+            Part::Spilled if self.bspill.part_tuples[part] > 0 => {
+                self.pspill.push(part, tuple, h)?
+            }
+            _ => {}
+        }
+        self.enforce("probe")
+    }
+
+    /// Join a resident partition's pending probe batch through its
+    /// hash table.
+    fn flush_batch(&mut self, part: usize) -> Result<()> {
+        let Part::Built { rel, table, batch } = &mut self.parts[part] else { return Ok(()) };
+        if batch.num_tuples() == 0 {
+            return Ok(());
+        }
+        let empty = Relation::new(batch.schema().clone());
+        let prel = std::mem::replace(batch, empty);
+        dispatch_probe(&mut self.native, &self.params, table, rel, &prel, &mut self.sink);
+        self.sink.check()
+    }
+
+    /// Page-granular safe point: spill victims until residency (plus
+    /// the reserve) fits the live budget, then ack.
     fn enforce(&mut self, phase: &'static str) -> Result<()> {
         let limit = self.live.limit();
         if self.resident_bytes + self.reserve <= limit {
@@ -192,309 +192,173 @@ impl<'a> BuildPass<'a> {
             return Ok(());
         }
         while self.resident_bytes + self.reserve > limit {
-            let victim = self
-                .parts
-                .iter()
-                .enumerate()
-                .filter_map(|(i, bp)| match bp {
-                    BPart::Res { pages, .. } => {
-                        Some((i, ((pages.len() + 1) * PAGE_SIZE) as u64))
-                    }
-                    BPart::Spilled { .. } => None,
-                })
-                .max_by_key(|&(i, bytes)| (bytes, std::cmp::Reverse(i)));
-            let Some((v, bytes)) = victim else { break };
-            self.spill_victim(v, bytes, limit, phase)?;
+            let sizes = self.parts.iter().map(Part::resident_bytes);
+            let Some((v, bytes)) = choose_victim(sizes) else { break };
+            self.evict(v)?;
+            self.resident_bytes -= bytes;
+            self.record(v, bytes, limit, TransitionKind::SpillVictim, phase);
         }
         // Floor: with everything spilled we still hold the reserve.
         self.live.ack(limit.max(self.resident_bytes + self.reserve));
         Ok(())
     }
 
-    /// Evict one resident partition: stream its pages to the spill
-    /// file and route its future tuples to a spill buffer.
-    fn spill_victim(
-        &mut self,
-        v: usize,
-        bytes: u64,
-        limit: u64,
-        phase: &'static str,
-    ) -> Result<()> {
-        let BPart::Res { pages, open } =
-            std::mem::replace(&mut self.parts[v], BPart::Spilled { buf: Page::new() })
-        else {
-            unreachable!("victim selection only returns resident partitions");
-        };
-        for page in &pages {
-            let id = self.file.write(page.sealed_image())?;
-            self.part_pages[v].push(id);
-        }
-        // Keep appending into the former open page as the spill buffer
-        // — its contents flush with the next seal or at pass end.
-        self.parts[v] = BPart::Spilled { buf: open };
-        self.resident_bytes -= bytes;
-        self.transitions.push(MemTransition {
-            partition: v,
-            bytes,
-            budget: limit,
-            kind: TransitionKind::SpillVictim,
-            phase,
-        });
-        phj_flightrec::event(
-            phj_flightrec::EventKind::Grant,
-            phj_flightrec::grant_op::SPILL_VICTIM,
-            v as u64,
-            bytes,
-        );
-        Ok(())
-    }
-
-    /// Flush every spilled partition's buffer page so the spill file
-    /// holds each spilled partition completely.
-    fn flush_spilled_bufs(&mut self) -> Result<()> {
-        for (part, bp) in self.parts.iter_mut().enumerate() {
-            if let BPart::Spilled { buf } = bp {
-                if buf.nslots() > 0 {
-                    let id = self.file.write(buf.sealed_image())?;
-                    self.part_pages[part].push(id);
-                    buf.reset();
+    /// Move resident partition `v` to the build spill file. A build-pass
+    /// partition keeps filling its former open page as the spill
+    /// buffer; a probe-pass partition first drains its pending batch,
+    /// so every probe tuple is joined exactly once.
+    fn evict(&mut self, v: usize) -> Result<()> {
+        self.flush_batch(v)?;
+        match std::mem::replace(&mut self.parts[v], Part::Spilled) {
+            Part::Filling { pages, open } => {
+                for page in &pages {
+                    self.bspill.push_page(v, page)?;
+                }
+                self.bspill.adopt_buffer(v, open);
+            }
+            Part::Built { rel, .. } => {
+                for page in rel.pages() {
+                    self.bspill.push_page(v, page)?;
                 }
             }
+            Part::Spilled => unreachable!("victims are resident"),
         }
         Ok(())
     }
 
-    /// Phase-boundary re-absorption ([`DiskJoinMode::Dynamic`] only):
-    /// pull spilled partitions back into memory, smallest-first, while
-    /// the live budget has headroom. Requires the spill writer synced.
+    /// Journal one residency transition: a report row and a flightrec
+    /// grant event.
+    fn record(
+        &mut self,
+        partition: usize,
+        bytes: u64,
+        budget: u64,
+        kind: TransitionKind,
+        phase: &'static str,
+    ) {
+        let op = match kind {
+            TransitionKind::SpillVictim => phj_flightrec::grant_op::SPILL_VICTIM,
+            TransitionKind::Absorb => phj_flightrec::grant_op::ABSORB,
+        };
+        phj_flightrec::event(phj_flightrec::EventKind::Grant, op, partition as u64, bytes);
+        self.transitions.push(MemTransition { partition, bytes, budget, kind, phase });
+    }
+
+    /// Phase-boundary re-absorption: pull spilled partitions back into
+    /// memory, smallest-first, while the live budget has headroom.
+    /// Requires the build spill file flushed.
     fn absorb(&mut self) -> Result<()> {
         loop {
             let limit = self.live.limit();
             let headroom = limit.saturating_sub(self.resident_bytes + self.reserve);
-            let cand = self
-                .parts
-                .iter()
-                .enumerate()
-                .filter(|(i, bp)| {
-                    matches!(bp, BPart::Spilled { .. }) && !self.part_pages[*i].is_empty()
+            let cand = (0..self.parts.len())
+                .filter(|&i| {
+                    matches!(self.parts[i], Part::Spilled) && !self.bspill.part_pages[i].is_empty()
                 })
-                .map(|(i, _)| (i, ((self.part_pages[i].len() + 1) * PAGE_SIZE) as u64))
+                .map(|i| (i, ((self.bspill.part_pages[i].len() + 1) * PAGE_SIZE) as u64))
                 .filter(|&(_, bytes)| bytes <= headroom)
                 .min_by_key(|&(i, bytes)| (bytes, i));
             let Some((v, bytes)) = cand else { break };
-            let mut pages = Vec::with_capacity(self.part_pages[v].len());
-            for &pid in &self.part_pages[v] {
-                pages.push(self.file.stripes.read_page_verified(pid)?);
-            }
-            self.part_pages[v].clear();
-            self.parts[v] = BPart::Res { pages, open: Page::new() };
+            let pages = self.bspill.take_back(v)?;
+            self.parts[v] = Part::Filling { pages, open: Page::new() };
             self.resident_bytes += bytes;
-            self.transitions.push(MemTransition {
-                partition: v,
-                bytes,
-                budget: limit,
-                kind: TransitionKind::Absorb,
-                phase: "absorb",
-            });
-            phj_flightrec::event(
-                phj_flightrec::EventKind::Grant,
-                phj_flightrec::grant_op::ABSORB,
-                v as u64,
-                bytes,
-            );
-        }
-        self.live.ack(self.live.limit().max(self.resident_bytes + self.reserve));
-        Ok(())
-    }
-}
-
-/// One memory-resident partition during the probe pass: the build
-/// relation, its hash table, and the pending probe batch.
-struct BuiltPart {
-    rel: Relation,
-    table: HashTable,
-    batch: RelationBuilder,
-    batch_bytes: usize,
-}
-
-/// Probe-pass state. Owns what the build pass left resident plus the
-/// probe-side spill bookkeeping.
-struct ProbePass<'a> {
-    live: &'a LiveBudget,
-    reserve: u64,
-    built: Vec<Option<BuiltPart>>,
-    resident_bytes: u64,
-    /// Build-side spill file (victims evicted mid-probe append here).
-    bfile: SpillFile,
-    bpart_pages: Vec<Vec<u64>>,
-    /// Probe-side spill file for tuples routed to spilled partitions.
-    pfile: SpillFile,
-    pbufs: Vec<Page>,
-    ppart_pages: Vec<Vec<u64>>,
-    ptuples: Vec<u64>,
-    transitions: Vec<MemTransition>,
-    probe_schema: Schema,
-}
-
-impl<'a> ProbePass<'a> {
-    /// Route one probe tuple: batch-join against a resident partition,
-    /// spill it for a disk pair, or drop it when the spilled build
-    /// partition is empty (no match possible).
-    #[allow(clippy::too_many_arguments)]
-    fn push(
-        &mut self,
-        part: usize,
-        tuple: &[u8],
-        h: u32,
-        build_tuples: u64,
-        native: &mut NativeModel,
-        params: &JoinParams,
-        sink: &mut DiskSink,
-    ) -> Result<()> {
-        if self.built[part].is_some() {
-            let bp = self.built[part].as_mut().unwrap();
-            bp.batch.push_hashed(tuple, h);
-            bp.batch_bytes += tuple.len();
-            if bp.batch_bytes >= PROBE_BATCH_BYTES {
-                self.flush_batch(part, native, params, sink)?;
-            }
-        } else if build_tuples > 0 {
-            let buf = &mut self.pbufs[part];
-            if !buf.fits(tuple.len()) {
-                let id = self.pfile.write(buf.sealed_image())?;
-                self.ppart_pages[part].push(id);
-                buf.reset();
-            }
-            buf.insert(tuple, h)
-                .ok_or(PhjError::TupleTooLarge { bytes: tuple.len() })?;
-            self.ptuples[part] += 1;
-        }
-        // else: the build partition is on disk *and* empty — an inner
-        // join can never match this tuple, so it is dropped here.
-        self.enforce(native, params, sink)
-    }
-
-    /// Join a resident partition's pending probe batch through its
-    /// hash table.
-    fn flush_batch(
-        &mut self,
-        part: usize,
-        native: &mut NativeModel,
-        params: &JoinParams,
-        sink: &mut DiskSink,
-    ) -> Result<()> {
-        let schema = self.probe_schema.clone();
-        let Some(bp) = self.built[part].as_mut() else { return Ok(()) };
-        if bp.batch_bytes == 0 {
-            return Ok(());
-        }
-        let batch = std::mem::replace(&mut bp.batch, RelationBuilder::new(schema));
-        bp.batch_bytes = 0;
-        let prel = batch.finish();
-        if prel.num_tuples() > 0 {
-            dispatch_probe(native, params, &bp.table, &bp.rel, &prel, sink);
-        }
-        if let Some(e) = sink.error.take() {
-            return Err(e);
-        }
-        Ok(())
-    }
-
-    /// Probe-pass safe point: evict largest-first resident partitions
-    /// until residency fits the live budget. Eviction first drains the
-    /// partition's pending probe batch (every probe tuple is joined
-    /// exactly once), then serializes the build relation back out.
-    fn enforce(
-        &mut self,
-        native: &mut NativeModel,
-        params: &JoinParams,
-        sink: &mut DiskSink,
-    ) -> Result<()> {
-        let limit = self.live.limit();
-        if self.resident_bytes + self.reserve <= limit {
-            if self.live.acked() > limit {
-                self.live.ack(limit);
-            }
-            return Ok(());
-        }
-        while self.resident_bytes + self.reserve > limit {
-            let victim = self
-                .built
-                .iter()
-                .enumerate()
-                .filter_map(|(i, bp)| {
-                    bp.as_ref()
-                        .map(|b| (i, (b.rel.pages().len() * PAGE_SIZE) as u64))
-                })
-                .max_by_key(|&(i, bytes)| (bytes, std::cmp::Reverse(i)));
-            let Some((v, bytes)) = victim else { break };
-            self.flush_batch(v, native, params, sink)?;
-            let bp = self.built[v].take().expect("victim is resident");
-            for page in bp.rel.pages() {
-                let id = self.bfile.write(page.sealed_image())?;
-                self.bpart_pages[v].push(id);
-            }
-            self.resident_bytes -= bytes;
-            self.transitions.push(MemTransition {
-                partition: v,
-                bytes,
-                budget: limit,
-                kind: TransitionKind::SpillVictim,
-                phase: "probe",
-            });
-            phj_flightrec::event(
-                phj_flightrec::EventKind::Grant,
-                phj_flightrec::grant_op::SPILL_VICTIM,
-                v as u64,
-                bytes,
-            );
+            self.record(v, bytes, limit, TransitionKind::Absorb, "absorb");
         }
         self.live.ack(self.live.limit().max(self.resident_bytes + self.reserve));
         Ok(())
     }
 
-    /// Drain every resident partition's pending batch, then flush the
-    /// probe-side spill buffers.
-    fn finish_scan(
-        &mut self,
-        native: &mut NativeModel,
-        params: &JoinParams,
-        sink: &mut DiskSink,
-    ) -> Result<()> {
-        for part in 0..self.built.len() {
-            self.flush_batch(part, native, params, sink)?;
-        }
-        for part in 0..self.pbufs.len() {
-            if self.pbufs[part].nslots() > 0 {
-                let image = self.pbufs[part].sealed_image();
-                let id = self.pfile.write(image)?;
-                self.ppart_pages[part].push(id);
-                self.pbufs[part].reset();
+    /// Turn every resident partition into its relation and hash table;
+    /// spilled partitions keep their page lists.
+    fn build_tables(&mut self, bschema: &Schema, pschema: &Schema) {
+        let p = self.parts.len();
+        for part in &mut self.parts {
+            let Part::Filling { pages, open } = std::mem::replace(part, Part::Spilled) else {
+                continue;
+            };
+            let mut rel = Relation::new(bschema.clone());
+            for page in pages {
+                rel.push_page(page);
             }
+            if open.nslots() > 0 {
+                rel.push_page(open);
+            } else {
+                // The empty open page leaves residency with its owner.
+                self.resident_bytes -= PAGE_SIZE as u64;
+            }
+            let n = rel.num_tuples();
+            let mut table = HashTable::new(plan::hash_table_buckets(n, p), n);
+            dispatch_build(&mut self.native, &self.params, &mut table, &rel);
+            table.assert_quiescent();
+            *part = Part::Built { rel, table: Box::new(table), batch: Relation::new(pschema.clone()) };
         }
-        Ok(())
+    }
+
+    /// Join every spilled pair through the degradation ladder, each
+    /// budgeted by the live limit at its start.
+    fn join_spilled(
+        &mut self,
+        cfg: &DiskGraceConfig,
+        bschema: &Schema,
+        pschema: &Schema,
+        rec: &mut Option<&mut Recorder>,
+    ) -> Result<Degrade> {
+        let p = self.bspill.part_tuples.len();
+        let mut deg = Degrade::default();
+        for part in 0..p {
+            if self.bspill.part_tuples[part] == 0 || self.pspill.part_tuples[part] == 0 {
+                continue; // one side empty: no matches possible
+            }
+            let pair_budget = self.live.limit();
+            self.live.ack(pair_budget.max(self.reserve));
+            join_partition_pair(
+                cfg,
+                pair_budget,
+                &self.params,
+                &mut self.native,
+                bschema,
+                pschema,
+                &self.bspill,
+                &self.pspill,
+                part,
+                part.to_string(),
+                0,
+                p,
+                &mut self.sink,
+                &mut deg,
+                rec,
+            )?;
+            self.sink.check()?;
+        }
+        Ok(deg)
     }
 }
 
-/// Run the hybrid (or dynamic hybrid) hash join. Entered from
-/// [`crate::grace::grace_join_files_rec`] when
-/// [`DiskGraceConfig::mode`] is not [`DiskJoinMode::Grace`].
+/// Run the disk hash join in `cfg.mode` (see the module docs). Entered
+/// from [`crate::grace::grace_join_files_rec`] for every mode.
 pub(crate) fn hybrid_join_files_rec(
     cfg: &DiskGraceConfig,
     build: &FileRelation,
     probe: &FileRelation,
     mut rec: Option<&mut Recorder>,
 ) -> Result<DiskGraceReport> {
+    let t0 = Instant::now();
     let live: Arc<LiveBudget> = cfg
         .live_budget
         .clone()
         .unwrap_or_else(|| Arc::new(LiveBudget::new(cfg.mem_budget as u64)));
     let budget0 = live.limit().max(PAGE_SIZE as u64);
-    let reserve = plan::hybrid_reserve(budget0 as usize) as u64;
-    let p = plan::hybrid_fanout(build.size_bytes() as usize, budget0 as usize).max(1);
-    let mut native = NativeModel;
-    let params = JoinParams { scheme: cfg.join_scheme, use_stored_hash: true };
-
+    let build_bytes = build.size_bytes() as usize;
+    // The mode's three policy values: fan-out, whether partitions start
+    // memory-resident, and whether spilled ones re-absorb between passes.
+    let (fanout, resident, absorb) = match cfg.mode {
+        DiskJoinMode::Grace => (plan::num_partitions(build_bytes, budget0 as usize), false, false),
+        DiskJoinMode::Hybrid => (plan::hybrid_fanout(build_bytes, budget0 as usize), true, false),
+        DiskJoinMode::Dynamic => (plan::hybrid_fanout(build_bytes, budget0 as usize), true, true),
+    };
+    let p = fanout.max(1);
+    // Journal the budget this run starts under. `a` carries the host's
+    // query id in full; `code` is the grant operation.
     phj_flightrec::event(
         phj_flightrec::EventKind::Grant,
         phj_flightrec::grant_op::BUDGET,
@@ -502,202 +366,92 @@ pub(crate) fn hybrid_join_files_rec(
         budget0,
     );
 
-    // ---- Build pass: stream the build side into resident partitions,
-    // evicting victims whenever residency outgrows the live budget.
-    let t0 = Instant::now();
+    let native = NativeModel;
     let span = obs::span_begin(&mut rec, &native, "partition");
     obs::span_meta(&mut rec, "partitions", p);
     obs::span_meta(&mut rec, "mode", cfg.mode.label());
-    let bschema = build.schema().clone();
-    let pschema = probe.schema().clone();
-    let mut bp = BuildPass::new(cfg, &live, reserve, p)?;
-    let mut bscan = build.scan(cfg.read_ahead);
-    while let Some(page) = bscan.next_page()? {
+    let (bschema, pschema) = (build.schema(), probe.schema());
+    let new_part = || {
+        if resident {
+            Part::Filling { pages: Vec::new(), open: Page::new() }
+        } else {
+            Part::Spilled
+        }
+    };
+    let mut d = Driver {
+        live: &live,
+        reserve: plan::hybrid_reserve(budget0 as usize) as u64,
+        parts: (0..p).map(|_| new_part()).collect(),
+        resident_bytes: if resident { (p * PAGE_SIZE) as u64 } else { 0 },
+        bspill: SpillFile::new(cfg, "build_spill", p)?,
+        pspill: SpillFile::new(cfg, "probe_spill", p)?,
+        transitions: Vec::new(),
+        native,
+        params: JoinParams { scheme: cfg.join_scheme, use_stored_hash: true },
+        sink: DiskSink::create(cfg, bschema, pschema)?,
+    };
+
+    // ---- Build pass: stream the build side into its partitions,
+    // evicting victims whenever residency outgrows the live budget.
+    let mut scan = build.scan(cfg.read_ahead);
+    while let Some(page) = scan.next_page()? {
         for (_, tuple, _) in page.iter() {
-            let h = hash::hash_key(key_bytes_of(&bschema, tuple));
-            bp.push(hash::partition_of(h, p), tuple, h)?;
+            let h = hash::hash_key(key_bytes_of(bschema, tuple));
+            d.push_build(hash::partition_of(h, p), tuple, h)?;
         }
     }
-    let bstall = bscan.stall_seconds();
-    bp.flush_spilled_bufs()?;
-    bp.file.sync()?;
-    if cfg.mode == DiskJoinMode::Dynamic {
+    let mut input_stall_s = scan.stall_seconds();
+    d.bspill.flush()?;
+    if absorb {
         // The grantor may have freed memory since the victims spilled;
         // pull the cheapest ones back before building tables.
-        bp.absorb()?;
+        d.absorb()?;
     }
-    obs::span_end(&mut rec, &native, span);
-    let partition_s = t0.elapsed().as_secs_f64();
-
-    // ---- Table build: turn every resident partition into (relation,
-    // hash table); spilled partitions keep their page lists.
-    let BuildPass {
-        parts,
-        file: bfile,
-        part_pages: bpart_pages,
-        tuples: btuples,
-        mut resident_bytes,
-        transitions,
-        ..
-    } = bp;
-    let mut built: Vec<Option<BuiltPart>> = Vec::with_capacity(p);
-    for part in parts {
-        match part {
-            BPart::Res { pages, open } => {
-                let mut rel = Relation::new(bschema.clone());
-                let open_live = open.nslots() > 0;
-                for page in pages {
-                    rel.push_page(page);
-                }
-                if open_live {
-                    rel.push_page(open);
-                } else {
-                    // The empty open page leaves residency with its owner.
-                    resident_bytes -= PAGE_SIZE as u64;
-                }
-                let n = rel.num_tuples();
-                let buckets = plan::hash_table_buckets(n, p);
-                let mut table = HashTable::new(buckets, n);
-                dispatch_build(&mut native, &params, &mut table, &rel);
-                table.assert_quiescent();
-                built.push(Some(BuiltPart {
-                    rel,
-                    table,
-                    batch: RelationBuilder::new(pschema.clone()),
-                    batch_bytes: 0,
-                }));
-            }
-            BPart::Spilled { buf } => {
-                debug_assert_eq!(buf.nslots(), 0, "spill buffers flushed before table build");
-                built.push(None);
-            }
-        }
-    }
-
-    let out_schema = Schema::join_output(build.schema(), probe.schema());
-    let out_stripes = StripeSet::create(&cfg.dir, "out", cfg.num_stripes, cfg.stripe_pages)
-        .map_err(|e| PhjError::io(cfg.dir.join("out"), e))?
-        .with_faults(cfg.fault.clone(), cfg.retry);
-    let mut sink = DiskSink {
-        build_schema: bschema.clone(),
-        probe_schema: pschema.clone(),
-        writer: BackgroundWriter::start(out_stripes.clone(), cfg.write_window),
-        page: Page::new(),
-        next_page: 0,
-        buf: Vec::new(),
-        tuples: 0,
-        count: CountSink::new(),
-        error: None,
-    };
+    d.build_tables(bschema, pschema);
 
     // ---- Probe pass: resident partitions join on the fly; tuples for
     // spilled partitions go to the probe spill file.
-    let t1 = Instant::now();
-    let span = obs::span_begin(&mut rec, &native, "join");
-    let mut pp = ProbePass {
-        live: &live,
-        reserve,
-        built,
-        resident_bytes,
-        bfile,
-        bpart_pages,
-        pfile: SpillFile::new(cfg, "hyb_pspill")?,
-        pbufs: (0..p).map(|_| Page::new()).collect(),
-        ppart_pages: vec![Vec::new(); p],
-        ptuples: vec![0; p],
-        transitions,
-        probe_schema: pschema.clone(),
-    };
-    let mut pscan = probe.scan(cfg.read_ahead);
-    while let Some(page) = pscan.next_page()? {
+    let mut scan = probe.scan(cfg.read_ahead);
+    while let Some(page) = scan.next_page()? {
         for (_, tuple, _) in page.iter() {
-            let h = hash::hash_key(key_bytes_of(&pschema, tuple));
-            let part = hash::partition_of(h, p);
-            pp.push(part, tuple, h, btuples[part], &mut native, &params, &mut sink)?;
+            let h = hash::hash_key(key_bytes_of(pschema, tuple));
+            d.push_probe(hash::partition_of(h, p), tuple, h)?;
         }
     }
-    let pstall = pscan.stall_seconds();
-    pp.finish_scan(&mut native, &params, &mut sink)?;
-    let resident_partitions = pp.built.iter().filter(|b| b.is_some()).count();
+    input_stall_s += scan.stall_seconds();
+    for part in 0..p {
+        d.flush_batch(part)?;
+    }
+    let resident_partitions = d.parts.iter().filter(|x| matches!(x, Part::Built { .. })).count();
     // Resident partitions are fully joined; release them before the
     // disk pairs so pair working memory has the whole budget.
-    pp.built.clear();
-    pp.bfile.sync()?;
-    pp.pfile.sync()?;
-
-    // ---- Disk pairs: whatever spilled runs through the classic
-    // degradation ladder, budgeted by the live limit at each pair.
-    let ProbePass {
-        bfile, bpart_pages, pfile, ppart_pages, ptuples, mut transitions, ..
-    } = pp;
-    let bspill = Spilled {
-        stripes: bfile.stripes,
-        part_tuples: (0..p)
-            .map(|i| if bpart_pages[i].is_empty() { 0 } else { btuples[i] })
-            .collect(),
-        part_pages: bpart_pages,
-    };
-    let pspill = Spilled {
-        stripes: pfile.stripes,
-        part_pages: ppart_pages,
-        part_tuples: ptuples.clone(),
-    };
-    let mut deg = Degrade { events: Vec::new(), spill_counter: 0 };
-    for part in 0..p {
-        if bspill.part_tuples[part] == 0 || pspill.part_tuples[part] == 0 {
-            continue; // one side empty: no matches possible
-        }
-        let pair_budget = live.limit();
-        live.ack(pair_budget.max(reserve));
-        join_partition_pair(
-            cfg,
-            pair_budget,
-            &params,
-            &mut native,
-            &bschema,
-            &pschema,
-            &bspill,
-            &pspill,
-            part,
-            part.to_string(),
-            0,
-            p,
-            &mut sink,
-            &mut deg,
-            &mut rec,
-        )?;
-        if let Some(e) = sink.error.take() {
-            return Err(e);
-        }
-    }
+    d.parts.clear();
+    d.bspill.flush()?;
+    d.pspill.flush()?;
     obs::span_end(&mut rec, &native, span);
+    let partition_s = t0.elapsed().as_secs_f64();
 
-    if sink.page.nslots() > 0 {
-        sink.writer.write(sink.next_page, sink.page.sealed_image())?;
-        sink.next_page += 1;
-    }
-    let (matches, tuples, out_pages, count, writer) =
-        (sink.matches(), sink.tuples, sink.next_page, sink.count, sink.writer);
-    writer.finish()?;
-    let join_s = t1.elapsed().as_secs_f64();
+    // ---- Spilled pairs: the degradation ladder, then the output tail.
+    let span = obs::span_begin(&mut rec, &native, "join");
+    let joined = d.join_spilled(cfg, bschema, pschema, &mut rec);
+    let Driver { sink, transitions, .. } = d;
+    let joined = joined.and_then(|deg| Ok((deg, sink.finish()?)));
+    // Closed on failure too: a postmortem shows where the phase ended.
+    obs::span_end(&mut rec, &native, span);
+    let (deg, (output, matches, checksum)) = joined?;
+    let join_s = t0.elapsed().as_secs_f64() - partition_s;
     let final_budget = live.limit();
     live.ack(final_budget);
-    // Keep the transitions in decision order across both passes.
-    transitions.sort_by_key(|t| match t.phase {
-        "build" => 0u8,
-        "absorb" => 1,
-        _ => 2,
-    });
 
     let stats = cfg.fault.stats();
     Ok(DiskGraceReport {
-        output: FileRelation::from_parts(out_schema, out_stripes, out_pages, tuples),
+        output,
         num_partitions: p,
         partition_s,
         join_s,
-        input_stall_s: bstall + pstall,
+        input_stall_s,
         matches,
-        checksum: count.checksum(),
+        checksum,
         degradation: deg.events,
         read_retries: stats.read_retries.load(Ordering::Relaxed),
         write_retries: stats.write_retries.load(Ordering::Relaxed),
@@ -712,7 +466,7 @@ pub(crate) fn hybrid_join_files_rec(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grace::{grace_join_files, DiskGraceConfig};
+    use crate::grace::{grace_join_files, DegradationKind, DiskGraceConfig};
     use phj_workload::JoinSpec;
     use std::path::{Path, PathBuf};
 
@@ -734,19 +488,95 @@ mod tests {
         grace_join_files(&cfg, &fb, &fp).unwrap()
     }
 
+    /// Stage `spec`'s relations under `dir`.
+    fn stage(dir: &Path, spec: JoinSpec) -> (FileRelation, FileRelation, u64) {
+        let gen = spec.generate();
+        let fb = FileRelation::create(dir, "build", &gen.build, 6, 32).unwrap();
+        let fp = FileRelation::create(dir, "probe", &gen.probe, 6, 32).unwrap();
+        (fb, fp, gen.expected_matches)
+    }
+
+    /// Every mode gives GRACE's answer, and GRACE mode keeps its shape:
+    /// the static fan-out, nothing resident, no transitions, and the
+    /// exact degradation steps (partition, depth, kind) it took before
+    /// it ran as the hybrid driver with no resident partitions.
     #[test]
     fn hybrid_matches_grace_at_every_budget() {
-        for budget in [32 * 1024, 128 * 1024, 4 << 20] {
-            let gdir = temp_dir(&format!("g{budget}"));
-            let hdir = temp_dir(&format!("h{budget}"));
-            let g = run(&gdir, DiskJoinMode::Grace, budget);
-            let h = run(&hdir, DiskJoinMode::Hybrid, budget);
-            assert_eq!(g.matches, h.matches, "budget {budget}");
-            assert_eq!(g.checksum, h.checksum, "budget {budget}");
-            assert_eq!(h.output.num_tuples(), h.matches);
-            std::fs::remove_dir_all(&gdir).ok();
-            std::fs::remove_dir_all(&hdir).ok();
+        let rp = DegradationKind::Repartition { fanout: 2, seed: 1 };
+        let cases = [
+            ("b32k", spec(), 32 * 1024, vec![("2", 0, rp.clone())]),
+            ("b128k", spec(), 128 * 1024, vec![]),
+            ("b4m", spec(), 4 << 20, vec![]),
+            // The disk_spill shape scaled down 8x (pivot tuples, build
+            // 4x the budget), on which GRACE degrades twice.
+            (
+                "pivot",
+                JoinSpec { seed: 1, ..JoinSpec::pivot(512 << 10) },
+                128 * 1024,
+                vec![("0", 0, rp.clone()), ("2", 0, rp)],
+            ),
+        ];
+        for (tag, spec, budget, grace_steps) in cases {
+            let dir = temp_dir(tag);
+            let (fb, fp, want) = stage(&dir, spec);
+            let join = |mode: DiskJoinMode| {
+                let out = dir.join(mode.label());
+                std::fs::create_dir_all(&out).unwrap();
+                let cfg = DiskGraceConfig { mem_budget: budget, mode, ..DiskGraceConfig::new(&out) };
+                grace_join_files(&cfg, &fb, &fp).unwrap()
+            };
+            let build_bytes = fb.size_bytes() as usize;
+            let g = join(DiskJoinMode::Grace);
+            assert_eq!(g.matches, want, "{tag}");
+            assert_eq!(g.num_partitions, plan::num_partitions(build_bytes, budget), "{tag}");
+            assert_eq!(g.resident_partitions, 0, "{tag}");
+            assert!(g.transitions.is_empty(), "{tag}: {:?}", g.transitions);
+            let steps: Vec<_> =
+                g.degradation.iter().map(|e| (e.partition.as_str(), e.depth, e.kind.clone())).collect();
+            assert_eq!(steps, grace_steps, "{tag}");
+            for mode in [DiskJoinMode::Hybrid, DiskJoinMode::Dynamic] {
+                let r = join(mode);
+                let what = format!("{tag} {}", mode.label());
+                assert_eq!(r.num_partitions, plan::hybrid_fanout(build_bytes, budget), "{what}");
+                assert_eq!((r.matches, r.checksum), (g.matches, g.checksum), "{what}");
+                assert_eq!(r.output.num_tuples(), r.matches, "{what}");
+            }
+            std::fs::remove_dir_all(&dir).ok();
         }
+    }
+
+    /// The two phase timers share one clock: together they cover the
+    /// whole call but the budget setup before the first scan and the
+    /// report assembly after the output flush.
+    #[test]
+    fn phase_timers_add_up_to_the_run() {
+        let dir = temp_dir("timers");
+        let (fb, fp, _) = stage(&dir, JoinSpec { seed: 1, ..JoinSpec::pivot(512 << 10) });
+        for mode in [DiskJoinMode::Grace, DiskJoinMode::Hybrid, DiskJoinMode::Dynamic] {
+            let out = dir.join(mode.label());
+            std::fs::create_dir_all(&out).unwrap();
+            let cfg = DiskGraceConfig { mem_budget: 128 * 1024, mode, ..DiskGraceConfig::new(&out) };
+            let t = Instant::now();
+            let r = grace_join_files(&cfg, &fb, &fp).unwrap();
+            let wall = t.elapsed().as_secs_f64();
+            let phases = r.partition_s + r.join_s;
+            let what = format!("{}: {phases}s of {wall}s", mode.label());
+            assert!(phases <= wall, "{what}");
+            assert!(phases >= 0.9 * wall, "{what}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn victim_is_the_largest_partition_holding_bytes() {
+        let page = PAGE_SIZE as u64;
+        // An empty resident partition frees nothing: never a victim,
+        // not even when it is the only resident one.
+        assert_eq!(choose_victim([Some(0), None].into_iter()), None);
+        assert_eq!(choose_victim([Some(page), Some(0)].into_iter()), Some((0, page)));
+        // Largest first, lowest index on ties; spilled ones are skipped.
+        let sizes = [Some(0), Some(page), None, Some(2 * page), Some(2 * page)];
+        assert_eq!(choose_victim(sizes.into_iter()), Some((3, 2 * page)));
     }
 
     #[test]

@@ -22,11 +22,17 @@
 //!   blocked (the "main thread stall" of Fig 9);
 //! * [`writer::BackgroundWriter`] — background write-back with a bounded
 //!   in-flight window;
-//! * [`grace`] — the GRACE hash join over [`FileRelation`]s: the
-//!   partition phase streams the input through the reader and spills
-//!   partitions through the writer; the join phase loads each build
-//!   partition into memory and streams its probe partition, joining with
-//!   any of the in-memory schemes.
+//! * [`grace`] — the disk hash join over [`FileRelation`]s, one driver
+//!   for three [`DiskJoinMode`]s: both inputs stream through the reader
+//!   into partitions, resident ones join in memory and spilled ones go
+//!   out through the writer, then each spilled pair is loaded back and
+//!   joined with any of the in-memory schemes (degrading when it does
+//!   not fit). The mode sets only the fan-out, whether partitions start
+//!   memory-resident (never for GRACE, always for the hybrid modes),
+//!   and whether spilled ones re-absorb between the passes (dynamic
+//!   only);
+//! * [`budget`] — the [`LiveBudget`] a grantor may shrink or raise while
+//!   a dynamic join runs.
 
 pub mod budget;
 pub mod catalog;

@@ -10,7 +10,7 @@
 //! recovered == max(0, written - capacity)`.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
 
 use phj_flightrec::{Event, EventKind, ThreadRing};
 
@@ -50,25 +50,37 @@ fn concurrent_writers_and_readers_never_tear() {
         let rings: Vec<Arc<ThreadRing>> =
             (0..writers).map(|tid| Arc::new(ThreadRing::new(tid, cap))).collect();
         let stop = Arc::new(AtomicBool::new(false));
+        // Writers start only once every reader is snapshotting, so a
+        // reader the scheduler starts late still races the writers.
+        let readers = 2;
+        let started = Arc::new(Barrier::new(readers + 1));
 
-        let reader_handles: Vec<_> = (0..2)
+        let reader_handles: Vec<_> = (0..readers)
             .map(|r| {
                 let rings = rings.clone();
                 let stop = Arc::clone(&stop);
+                let started = Arc::clone(&started);
                 std::thread::spawn(move || {
                     let mut snaps = 0u64;
-                    while !stop.load(Ordering::Acquire) {
+                    loop {
                         // Seeded skew: readers start on different rings.
                         for ring in rings.iter().cycle().skip(r + seed as usize).take(rings.len())
                         {
                             check_snapshot(&ring.snapshot(), cap);
                             snaps += 1;
                         }
+                        if snaps == rings.len() as u64 {
+                            started.wait();
+                        }
+                        if stop.load(Ordering::Acquire) {
+                            break;
+                        }
                     }
                     snaps
                 })
             })
             .collect();
+        started.wait();
 
         let writer_handles: Vec<_> = rings
             .iter()
