@@ -5,9 +5,9 @@
 //! §7.1); [`OutputWriter`] does that into an output [`Relation`], charging
 //! the memory model for the output-buffer writes (these sequential writes
 //! are a real part of the join's cache behaviour). [`CountSink`] is a
-//! non-materializing sink for tests and micro-benchmarks: it keeps an
-//! order-insensitive checksum so any two correct schemes can be compared
-//! exactly.
+//! non-materializing sink for tests, benchmarks and the daemon: it keeps
+//! an order-insensitive checksum, the XOR of one [`pair_digest`] per
+//! match, so any two correct schemes can be compared exactly.
 
 use phj_memsim::MemoryModel;
 use phj_storage::{tuple::materialize_join_output, Page, Relation, Schema};
@@ -162,12 +162,98 @@ impl<F: FnMut(&[(Vec<u8>, Vec<u8>)])> JoinSink for BatchingSink<F> {
     }
 }
 
+/// Lane start values (hex digits of pi): four distinct states, so equal
+/// words in different lanes do not produce equal lane states.
+const LANE_SEEDS: [u64; 4] = [
+    0x243F_6A88_85A3_08D3,
+    0x1319_8A2E_0370_7344,
+    0xA409_3822_299F_31D0,
+    0x082E_FA98_EC4E_6C89,
+];
+const P1: u64 = 0x9E37_79B1_85EB_CA87;
+const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+
+/// Fold one word into a lane. For a fixed word it is a bijection of the
+/// lane, and for a fixed lane a bijection of the word (odd multipliers,
+/// add, rotate).
+#[inline(always)]
+fn round(lane: u64, word: u64) -> u64 {
+    lane.wrapping_add(word.wrapping_mul(P2))
+        .rotate_left(31)
+        .wrapping_mul(P1)
+}
+
+/// Up to 8 bytes as one little-endian word, zero-padded.
+#[inline(always)]
+fn le_word(bytes: &[u8]) -> u64 {
+    let mut w = [0u8; 8];
+    w[..bytes.len()].copy_from_slice(bytes);
+    u64::from_le_bytes(w)
+}
+
+/// Deal `bytes` as 8-byte words round-robin over the four lanes: whole
+/// 32-byte stripes first, then the tail's words from lane 0 on, the last
+/// one zero-padded.
+#[inline(always)]
+fn absorb(lanes: &mut [u64; 4], bytes: &[u8]) {
+    let mut stripes = bytes.chunks_exact(32);
+    for stripe in &mut stripes {
+        for (lane, w) in lanes.iter_mut().zip(stripe.chunks_exact(8)) {
+            *lane = round(*lane, le_word(w));
+        }
+    }
+    for (lane, w) in lanes.iter_mut().zip(stripes.remainder().chunks(8)) {
+        *lane = round(*lane, le_word(w));
+    }
+}
+
+/// 64-bit finalizer: a bijection that spreads every input bit over the
+/// whole word.
+#[inline(always)]
+fn avalanche(mut h: u64) -> u64 {
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xFF51_AFD7_ED55_8CCD);
+    h ^= h >> 33;
+    h = h.wrapping_mul(0xC4CE_B9FE_1A85_EC53);
+    h ^ (h >> 33)
+}
+
+/// Digest of one (build, probe) pair: the term every order-insensitive
+/// result checksum XORs together ([`CountSink`], and through it the disk
+/// engine and the daemon, plus the aggregation checksum).
+///
+/// Word at a time: each side is read as little-endian 8-byte words
+/// (`u64::from_le_bytes`, so the value is the same on every host and at
+/// every alignment) spread over four independent multiply lanes. The two
+/// lengths are folded in after the lanes merge, so the build/probe
+/// boundary cannot shift: `("ab", "c")` and `("a", "bc")` differ. A
+/// 64-bit avalanche finishes it.
+///
+/// Each step from any one input word to the result is a bijection while
+/// the other inputs stay fixed, so changing any single word, and so any
+/// single bit, always changes the digest.
+#[inline]
+pub fn pair_digest(build: &[u8], probe: &[u8]) -> u64 {
+    let mut lanes = LANE_SEEDS;
+    absorb(&mut lanes, build);
+    absorb(&mut lanes, probe);
+    let merged = lanes[0]
+        .rotate_left(1)
+        .wrapping_add(lanes[1].rotate_left(7))
+        .wrapping_add(lanes[2].rotate_left(12))
+        .wrapping_add(lanes[3].rotate_left(18));
+    // Injective for lengths below 2^32 (a tuple lives in one page).
+    let lengths = (build.len() as u64).rotate_left(32) ^ probe.len() as u64;
+    avalanche(round(merged, lengths))
+}
+
 /// Order-insensitive counting/checksumming sink.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct CountSink {
     matches: u64,
-    /// XOR of per-pair FNV digests: equal multisets of (build, probe)
-    /// pairs produce equal checksums regardless of emission order.
+    /// XOR of per-pair [`pair_digest`]s (each at least 1): equal multisets
+    /// of (build, probe) pairs produce equal checksums regardless of
+    /// emission order.
     checksum: u64,
 }
 
@@ -189,21 +275,12 @@ impl CountSink {
         self.matches += other.matches;
         self.checksum ^= other.checksum;
     }
-
-    fn digest(bytes: &[u8], mut h: u64) -> u64 {
-        for &b in bytes {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01B3);
-        }
-        h
-    }
 }
 
 impl JoinSink for CountSink {
     fn emit<M: MemoryModel>(&mut self, _mem: &mut M, build: &[u8], probe: &[u8]) {
         self.matches += 1;
-        let d = Self::digest(probe, Self::digest(build, 0xCBF2_9CE4_8422_2325));
-        self.checksum ^= d.max(1); // never XOR 0: keep pair visible
+        self.checksum ^= pair_digest(build, probe).max(1); // never XOR 0: keep pair visible
     }
 
     fn matches(&self) -> u64 {
@@ -268,6 +345,110 @@ mod tests {
         }
         assert_eq!(once.checksum(), thrice.checksum());
         assert_ne!(once.matches(), thrice.matches());
+    }
+
+    #[test]
+    fn count_sink_separates_build_from_probe() {
+        // Moving the build/probe boundary inside the same bytes is a
+        // different pair.
+        let mut m = NativeModel;
+        let mut a = CountSink::new();
+        a.emit(&mut m, b"ab", b"c");
+        let mut b = CountSink::new();
+        b.emit(&mut m, b"a", b"bc");
+        assert_ne!(a.checksum(), b.checksum());
+        let mut c = CountSink::new();
+        c.emit(&mut m, b"", b"abc");
+        let mut d = CountSink::new();
+        d.emit(&mut m, b"abc", b"");
+        assert_ne!(c.checksum(), d.checksum());
+    }
+
+    /// Every tail length mod 8 and mod 32, twice over, plus the paper's
+    /// 100 B tuple and a 200 B one.
+    fn digest_lengths() -> impl Iterator<Item = usize> + Clone {
+        (0..=72).chain([100, 200])
+    }
+
+    /// `n` bytes that differ from position to position and with `salt`.
+    fn pattern(n: usize, salt: u8) -> Vec<u8> {
+        (0..n)
+            .map(|i| (i as u8).wrapping_mul(37).wrapping_add(salt))
+            .collect()
+    }
+
+    #[test]
+    fn pair_digest_sees_every_bit() {
+        for bl in digest_lengths() {
+            for pl in digest_lengths() {
+                let mut build = pattern(bl, 1);
+                let mut probe = pattern(pl, 2);
+                let d = pair_digest(&build, &probe);
+                for bit in 0..bl * 8 {
+                    build[bit / 8] ^= 1 << (bit % 8);
+                    assert_ne!(pair_digest(&build, &probe), d, "build {bl} B, bit {bit}");
+                    build[bit / 8] ^= 1 << (bit % 8);
+                }
+                for bit in 0..pl * 8 {
+                    probe[bit / 8] ^= 1 << (bit % 8);
+                    assert_ne!(pair_digest(&build, &probe), d, "probe {pl} B, bit {bit}");
+                    probe[bit / 8] ^= 1 << (bit % 8);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn pair_digest_is_not_symmetric() {
+        for al in digest_lengths() {
+            for bl in digest_lengths() {
+                let (a, b) = (pattern(al, 3), pattern(bl, 4));
+                if a == b {
+                    continue; // both empty
+                }
+                assert_ne!(pair_digest(&a, &b), pair_digest(&b, &a), "{al} B, {bl} B");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_digest_ignores_alignment() {
+        for bl in digest_lengths() {
+            let (build, probe) = (pattern(bl, 5), pattern(bl / 2, 6));
+            let want = pair_digest(&build, &probe);
+            for offset in 0..8 {
+                let mut buf = vec![0xA5u8; offset];
+                buf.extend_from_slice(&build);
+                buf.extend_from_slice(&probe);
+                let (b, p) = buf[offset..].split_at(bl);
+                assert_eq!(pair_digest(b, p), want, "{bl} B at offset {offset}");
+            }
+        }
+    }
+
+    #[test]
+    fn pair_digest_has_no_collisions_on_pivot_pairs() {
+        // The pivot workload's shape: 100 B tuples, a distinct 4-byte key,
+        // payload bytes counting up from a per-tuple salt (the index on
+        // the build side, its complement on the probe side).
+        fn tuple(key: u32, salt: u32) -> [u8; 100] {
+            let mut t = [0u8; 100];
+            t[..4].copy_from_slice(&key.to_le_bytes());
+            for (j, b) in t[4..].iter_mut().enumerate() {
+                *b = (salt as usize + j) as u8;
+            }
+            t
+        }
+        const N: u32 = 1 << 20;
+        let mut digests: Vec<u64> = (0..N)
+            .map(|i| {
+                let key = i.wrapping_mul(0x9E37_79B1).rotate_left(13);
+                pair_digest(&tuple(key, i), &tuple(key, !i))
+            })
+            .collect();
+        digests.sort_unstable();
+        digests.dedup();
+        assert_eq!(digests.len(), N as usize);
     }
 
     #[test]

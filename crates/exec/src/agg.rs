@@ -10,6 +10,7 @@
 //! lanes, critical-path cycles, summed event counts.
 
 use phj::aggregate::{aggregate, aggregate_page_range, AggScheme, AggTable};
+use phj::sink::pair_digest;
 use phj_memsim::{NativeModel, SimEngine, Snapshot};
 use phj_obs::{Recorder, RegionsSection};
 use phj_storage::Relation;
@@ -45,24 +46,17 @@ pub struct SimAggOutcome {
     pub lanes: Vec<LaneStats>,
 }
 
-/// Order-independent digest of an aggregation result: XOR of one FNV
-/// hash per group over (key, count, sum). Two tables built from the same
-/// input in any morsel/merge order digest identically.
+/// Order-independent digest of an aggregation result: XOR of one
+/// [`pair_digest`] per group over (key, count ‖ sum). Two tables built
+/// from the same input in any morsel/merge order digest identically.
 pub fn agg_checksum(table: &AggTable) -> u64 {
     table
         .iter()
         .map(|e| {
-            let mut h = 0xCBF2_9CE4_8422_2325u64;
-            let mut eat = |bytes: &[u8]| {
-                for &b in bytes {
-                    h ^= b as u64;
-                    h = h.wrapping_mul(0x1000_0000_01B3);
-                }
-            };
-            eat(e.key());
-            eat(&e.count.to_le_bytes());
-            eat(&e.sum.to_le_bytes());
-            h.max(1)
+            let mut totals = [0u8; 16];
+            totals[..8].copy_from_slice(&e.count.to_le_bytes());
+            totals[8..].copy_from_slice(&e.sum.to_le_bytes());
+            pair_digest(e.key(), &totals).max(1)
         })
         .fold(0u64, |acc, h| acc ^ h)
 }
